@@ -56,9 +56,11 @@ impl CompiledVariant {
                 })
                 .collect()
         });
-        // Pressure-aware list scheduling (the "ptxas" step): without it,
-        // tree-ordered lowering grossly overstates register usage for
-        // kernels like the bilateral filter.
+        // Pressure-aware list scheduling (the "ptxas" step), kept only when
+        // it lowers the liveness estimate: after the optimiser that holds
+        // for small ISP, texture and point-operator kernels (1-5 fewer live
+        // registers) and never for bilateral, whose fused-reduce order
+        // already beats the greedy one by an order of magnitude.
         let kernel = isp_ir::sched::schedule_min_pressure(&kernel);
         isp_ir::validate::assert_valid(&kernel);
         let regs = regalloc::estimate(&kernel);

@@ -73,6 +73,30 @@ pub fn cfg_allowance(kernel: &Kernel) -> u32 {
     (blocks.saturating_sub(4) / 2).min(CFG_ALLOWANCE_CAP)
 }
 
+/// Which virtual registers [`estimate`] counts as data (non-predicate)
+/// registers, indexed by vreg. Register types are attached to every VReg
+/// occurrence; the last occurrence in one scan decides.
+pub(crate) fn data_mask(kernel: &Kernel) -> Vec<bool> {
+    let mut ty_of: Vec<Option<Ty>> = vec![None; kernel.num_vregs as usize];
+    for b in &kernel.blocks {
+        for instr in &b.instrs {
+            if let Some(d) = instr.dst() {
+                ty_of[d.index as usize] = Some(d.ty);
+            }
+            for s in instr.sources() {
+                ty_of[s.index as usize] = Some(s.ty);
+            }
+        }
+        if let Some(p) = b.terminator.pred() {
+            ty_of[p.index as usize] = Some(p.ty);
+        }
+    }
+    ty_of
+        .into_iter()
+        .map(|t| t.is_some_and(|t| t.is_data()))
+        .collect()
+}
+
 /// Estimate the register usage of `kernel`.
 pub fn estimate(kernel: &Kernel) -> RegisterUsage {
     let cfg = Cfg::new(kernel);
@@ -121,23 +145,9 @@ pub fn estimate(kernel: &Kernel) -> RegisterUsage {
     }
 
     // Sweep each block backwards tracking the live set to find the maximum
-    // pressure at any program point, split by register class. Register types
-    // are attached to every VReg occurrence; collect them in one scan.
-    let mut ty_of: Vec<Option<Ty>> = vec![None; kernel.num_vregs as usize];
-    for b in &kernel.blocks {
-        for instr in &b.instrs {
-            if let Some(d) = instr.dst() {
-                ty_of[d.index as usize] = Some(d.ty);
-            }
-            for s in instr.sources() {
-                ty_of[s.index as usize] = Some(s.ty);
-            }
-        }
-        if let Some(p) = b.terminator.pred() {
-            ty_of[p.index as usize] = Some(p.ty);
-        }
-    }
-    let is_data = |idx: u32| ty_of[idx as usize].is_some_and(|t| t.is_data());
+    // pressure at any program point, split by register class.
+    let data = data_mask(kernel);
+    let is_data = |idx: u32| data[idx as usize];
 
     let mut max_data = 0usize;
     let mut max_pred = 0usize;

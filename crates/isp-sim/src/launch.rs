@@ -209,7 +209,7 @@ pub enum SimMode<'a> {
 }
 
 /// Everything a launch reports (the simulator's NVProf output).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchReport {
     /// Aggregated performance counters.
     pub counters: PerfCounters,
@@ -234,10 +234,10 @@ pub struct LaunchReport {
     pub per_class: Vec<(u32, PerfCounters)>,
     /// Per-class trace-replay reuse, sorted by class id. Populated only by
     /// [`SimMode::ExhaustiveClassified`] launches under
-    /// [`ExecEngine::Replay`]; empty otherwise. Which block of a class
-    /// records (vs replays) is scheduling-dependent under the parallel
-    /// strategy, so only the *totals* per class are meaningful — results are
-    /// bit-identical regardless.
+    /// [`ExecEngine::Replay`]; empty otherwise. The lowest-dispatch-index
+    /// block of a class records (unless an earlier launch left its trace),
+    /// so these stats, like every other field, do not depend on the worker
+    /// count.
     pub per_class_trace: Vec<(u32, TraceStats)>,
 }
 
@@ -777,13 +777,15 @@ impl Gpu {
                 // unfused stream.
                 let profile_seq = want_outcomes && engine == ExecEngine::Decoded;
                 let block_start = profile_seq.then(|| dk.block_start_flags());
+                let arenas = ScratchPool::default();
                 // The replay engine reads the Gpu's persistent trace cache,
                 // scoped to this launch's (kernel, geometry, params) key and
                 // further keyed by block class (class 0 when no classifier
-                // labels the grid): the first block of a class records —
-                // unless an earlier launch with the identical key already
-                // did, in which case every block of the class replays warm.
-                let traces: Option<SharedTraces<'_>> = (engine == ExecEngine::Replay).then(|| {
+                // labels the grid): the record pass runs the first block of
+                // each class — unless an earlier launch with the identical
+                // key already did, in which case every block of the class
+                // replays warm.
+                let traces: Option<LaunchTraces> = (engine == ExecEngine::Replay).then(|| {
                     let key = launch_trace_key(kernel_fingerprint(kernel), cfg, params);
                     // With a disk cache configured, the first sight of a
                     // launch key pre-warms the trace cache from disk:
@@ -792,17 +794,13 @@ impl Gpu {
                     if self.disk.is_some() {
                         self.disk_prewarm_traces(&dk, key, cfg, params);
                     }
-                    SharedTraces {
-                        cache: &self.trace_cache,
-                        key,
-                        epoch: self.launch_seq.fetch_add(1, Ordering::Relaxed),
-                    }
+                    self.record_pass(&dk, key, cfg, params, shared, classifier, strategy, &arenas)
                 });
                 // Chunked fold: each worker folds a contiguous run of block
-                // indices through one ChunkAcc, reusing its scratch arena for
-                // every block — zero per-block allocation in steady state.
-                // Chunk accumulators come back in input order, so
-                // concatenating them reproduces dispatch order exactly.
+                // indices through one ChunkAcc, and each block borrows a
+                // scratch arena from the launch's pool. Chunk accumulators
+                // come back in input order, so concatenating them
+                // reproduces dispatch order exactly.
                 let fold_op = |mut acc: ChunkAcc, idx: u64| {
                     if acc.err.is_some() {
                         return acc;
@@ -817,17 +815,17 @@ impl Gpu {
                         buffers: shared,
                     };
                     let journal_mark = acc.writes.len();
-                    let run = match &traces {
+                    let run = arenas.with(|scratch| match &traces {
                         Some(traces) => run_block_replay(
                             &dk,
                             &ctx,
+                            idx,
                             class,
                             traces,
                             &mut acc.classes,
                             &mut acc.trace_xlaunch,
-                            &mut acc.scratch,
+                            scratch,
                             &mut acc.writes,
-                            &self.probe,
                             self.guard_batching,
                             &mut acc.guard_fast,
                         ),
@@ -840,18 +838,12 @@ impl Gpu {
                                     prev2: 0,
                                     seq: &mut acc.opseq,
                                 };
-                                run_decoded_traced(
-                                    &dk,
-                                    &ctx,
-                                    &mut acc.scratch,
-                                    &mut acc.writes,
-                                    &mut prof,
-                                )
+                                run_decoded_traced(&dk, &ctx, scratch, &mut acc.writes, &mut prof)
                             }
-                            None => run_decoded(&dk, &ctx, &mut acc.scratch, &mut acc.writes),
+                            None => run_decoded(&dk, &ctx, scratch, &mut acc.writes),
                         }
                         .map(|(c, cycles)| (Some(c), cycles, OUT_RUN)),
-                    };
+                    });
                     match run {
                         Ok((c, cycles, outcome)) => {
                             // Replayed blocks return no counter set — their
@@ -950,7 +942,7 @@ impl Gpu {
                     }
                     seq.report(&self.probe);
                 }
-                reduce_chunk_accs(footprint, classifier.is_some(), accs)?
+                reduce_chunk_accs(footprint, classifier.is_some(), traces.as_ref(), accs)?
             }
         };
 
@@ -972,6 +964,108 @@ impl Gpu {
             per_class,
             per_class_trace,
         })
+    }
+
+    /// The replay engine's record pass, run before the fan-out: resolve
+    /// every block class of the grid against the shared trace cache, then
+    /// record the lowest-dispatch-index block of each class that has no
+    /// trace — the classes in parallel, each block exactly once. The
+    /// fan-out then only reads the result, so which blocks record never
+    /// depends on how workers are scheduled.
+    #[allow(clippy::too_many_arguments)]
+    fn record_pass(
+        &self,
+        dk: &DecodedKernel,
+        key: u64,
+        cfg: LaunchConfig,
+        params: &[ParamValue],
+        buffers: &[DeviceBuffer],
+        classifier: Option<&(dyn Fn(u32, u32) -> u32 + Sync)>,
+        strategy: ExecStrategy,
+        arenas: &ScratchPool,
+    ) -> LaunchTraces {
+        let epoch = self.launch_seq.fetch_add(1, Ordering::Relaxed);
+        let gx = cfg.grid.0 as u64;
+        let block_idx = |idx: u64| ((idx % gx) as u32, (idx / gx) as u32);
+        let firsts: Vec<(u32, u64)> = match classifier {
+            None => vec![(0, 0)],
+            Some(f) => {
+                let mut seen = HashSet::new();
+                (0..cfg.total_blocks())
+                    .filter_map(|idx| {
+                        let (bx, by) = block_idx(idx);
+                        let class = f(bx, by);
+                        seen.insert(class).then_some((class, idx))
+                    })
+                    .collect()
+            }
+        };
+        let mut classes = HashMap::with_capacity(firsts.len());
+        let mut missing = Vec::new();
+        {
+            let cache = self.trace_cache.lock().expect("trace cache lock poisoned");
+            for &(class, idx) in &firsts {
+                match cache.get(&(key, class)) {
+                    Some((e, t)) => {
+                        classes.insert(
+                            class,
+                            ClassTrace {
+                                trace: Some(Arc::clone(t)),
+                                prior: *e != epoch,
+                                recorded: None,
+                            },
+                        );
+                    }
+                    None => missing.push((class, idx)),
+                }
+            }
+        }
+        let record = |&(class, idx): &(u32, u64)| {
+            let ctx = DecodedBlockCtx {
+                grid: cfg.grid,
+                block_dim: cfg.block,
+                block_idx: block_idx(idx),
+                params,
+                buffers,
+            };
+            let mut writes = Vec::new();
+            let started = self.probe.begin();
+            let run = arenas.with(|scratch| record_block(dk, &ctx, scratch, &mut writes));
+            self.probe.span("trace-record", "sim", started, || {
+                Some(format!("class {class}"))
+            });
+            (
+                class,
+                idx,
+                run.map(|(c, cycles, trace)| (c, cycles, trace, writes)),
+            )
+        };
+        let recorded: Vec<_> = match strategy {
+            ExecStrategy::Parallel => missing.par_iter().map(record).collect(),
+            ExecStrategy::Serial => missing.iter().map(record).collect(),
+        };
+        let mut cache = self.trace_cache.lock().expect("trace cache lock poisoned");
+        for (class, idx, run) in recorded {
+            let (trace, run) = match run {
+                Ok((counters, cycles, trace, writes)) => {
+                    let trace = Arc::new(trace);
+                    cache
+                        .entry((key, class))
+                        .or_insert((epoch, Arc::clone(&trace)));
+                    (Some(trace), Ok((counters, cycles, writes)))
+                }
+                Err(e) => (None, Err(e)),
+            };
+            classes.insert(
+                class,
+                ClassTrace {
+                    trace,
+                    prior: false,
+                    recorded: Some((idx, run)),
+                },
+            );
+        }
+        LaunchTraces { key, classes }
     }
 
     /// [`schedule`] plus timeline capture: record every block's `(sm, start,
@@ -1186,16 +1280,27 @@ fn outcome_name(code: u8) -> &'static str {
     }
 }
 
-/// The replay engine's view of a [`Gpu`]'s persistent trace cache, scoped
-/// to one launch: `key` identifies the (kernel fingerprint, grid, block,
-/// scalar params) tuple this launch's traces are valid for, and `epoch` is
-/// this launch's sequence number — a cache entry with an older epoch was
-/// recorded by an earlier launch, so replaying it is a cross-launch hit.
-struct SharedTraces<'a> {
-    cache: &'a Mutex<TraceCacheMap>,
+/// The replay engine's read-only view of one launch's traces, built by
+/// [`Gpu::record_pass`]: `key` identifies the (kernel fingerprint, grid,
+/// block, scalar params) tuple the traces are valid for, and `classes`
+/// holds every block class of the grid.
+struct LaunchTraces {
     key: u64,
-    epoch: u64,
+    classes: HashMap<u32, ClassTrace>,
 }
+
+/// One class's trace for a launch. `prior` marks a trace recorded by an
+/// earlier launch (replaying it is a cross-launch hit). `recorded` holds the
+/// block the record pass ran, by dispatch index, with its counters, cycles
+/// and write journal for the fan-out to emit in dispatch order; `trace` is
+/// `None` only when that recording failed.
+struct ClassTrace {
+    trace: Option<Arc<Trace>>,
+    prior: bool,
+    recorded: Option<(u64, RecordedRun)>,
+}
+
+type RecordedRun = Result<(FlatCounters, u64, Vec<(u32, usize, u32)>), SimError>;
 
 /// The cross-launch trace-cache key: a hash of everything a recorded trace
 /// pins — the kernel's structural fingerprint, the launch geometry, and the
@@ -1217,21 +1322,38 @@ fn launch_trace_key(kernel_fp: u64, cfg: LaunchConfig, params: &[ParamValue]) ->
     h.finish()
 }
 
+/// The scratch arenas of one decoded exhaustive launch. A block borrows an
+/// arena for its run and returns it, so no more arenas exist than blocks
+/// run at once, and each is prepared (sized, immediates filled) once and
+/// then reused — memset, not malloc. Preparing costs more than recording a
+/// block when the register file is large: a fat bilateral ISP kernel's
+/// arena is about 48 MB.
+#[derive(Default)]
+struct ScratchPool(Mutex<Vec<DecodedScratch>>);
+
+impl ScratchPool {
+    fn with<R>(&self, run: impl FnOnce(&mut DecodedScratch) -> R) -> R {
+        let pooled = self.0.lock().expect("scratch pool lock poisoned").pop();
+        let mut scratch = pooled.unwrap_or_default();
+        let result = run(&mut scratch);
+        self.0
+            .lock()
+            .expect("scratch pool lock poisoned")
+            .push(scratch);
+        result
+    }
+}
+
 /// Per-worker accumulator of the decoded exhaustive path: one of these folds
-/// a contiguous chunk of block indices, so its scratch arena is prepared
-/// once and then reused — memset, not malloc — for every block in the chunk.
+/// a contiguous chunk of block indices.
 #[derive(Default)]
 struct ChunkAcc {
-    scratch: DecodedScratch,
     counters: FlatCounters,
     per_class: HashMap<u32, FlatCounters>,
     cycles: Vec<u64>,
     writes: Vec<(u32, usize, u32)>,
     err: Option<SimError>,
-    /// Per-class replay state: a lock-free view of the launch's slice of
-    /// the shared trace cache plus the class's stats, in one slot so the
-    /// per-block hot path costs a single hash lookup. Once a worker has
-    /// resolved a class's trace it never takes the shared lock again.
+    /// Per-class replay stats of this chunk.
     classes: HashMap<u32, ClassSlot>,
     /// Blocks replayed from a trace recorded by an earlier launch.
     trace_xlaunch: u64,
@@ -1245,12 +1367,9 @@ struct ChunkAcc {
     opseq: OpSeq,
 }
 
-/// One chunk worker's view of a block class: the resolved trace (`None`
-/// until the first block of the class looks it up — or records it) with its
-/// cross-launch provenance flag, and the class's replay stats.
+/// One chunk worker's replay stats for a block class.
 #[derive(Default)]
 struct ClassSlot {
-    trace: Option<(Arc<Trace>, bool)>,
     stats: TraceStats,
     /// Successful replays accumulated as a (count, transaction sum) pair:
     /// a replayed block's counters are the trace's with only
@@ -1347,60 +1466,45 @@ impl Tracer for SeqProfiler<'_> {
     }
 }
 
-/// Execute one block under the replay engine: replay its class's trace when
-/// one exists (deopting to the decoded interpreter on a guard miss), or run
-/// decoded while recording a fresh trace when the class is new. The first
-/// recording of a class wins the cache slot; results are bit-identical to
-/// [`run_decoded`] either way, only the stats depend on scheduling. A trace
-/// left behind by an earlier launch with the same key replays immediately —
-/// no block of this launch records — and each such replay is counted in
-/// `xlaunch`.
+/// Execute one block under the replay engine: emit the record pass's result
+/// when this is the block it recorded, otherwise replay the class's trace
+/// (deopting to the decoded interpreter on a guard miss). Results are
+/// bit-identical to [`run_decoded`] either way. A trace left behind by an
+/// earlier launch with the same key replays immediately — no block of this
+/// launch records — and each such replay is counted in `xlaunch`.
 #[allow(clippy::too_many_arguments)]
 fn run_block_replay(
     dk: &DecodedKernel,
     ctx: &DecodedBlockCtx<'_>,
+    idx: u64,
     class: u32,
-    shared: &SharedTraces<'_>,
+    traces: &LaunchTraces,
     classes: &mut HashMap<u32, ClassSlot>,
     xlaunch: &mut u64,
     scratch: &mut DecodedScratch,
     writes: &mut Vec<(u32, usize, u32)>,
-    probe: &ProbeHandle,
     batch_guards: bool,
     guard_fast: &mut u64,
 ) -> Result<(Option<FlatCounters>, u64, u8), SimError> {
-    let slot = classes.entry(class).or_default();
-    if slot.trace.is_none() {
-        slot.trace = shared
-            .cache
-            .lock()
-            .unwrap()
-            .get(&(shared.key, class))
-            .map(|(epoch, t)| (Arc::clone(t), *epoch != shared.epoch));
-    }
-    if slot.trace.is_none() {
-        let started = probe.begin();
-        let (counters, cycles, trace) = record_block(dk, ctx, scratch, writes)?;
-        probe.span("trace-record", "sim", started, || {
-            Some(format!("class {class}"))
-        });
-        slot.stats.recorded += 1;
-        let trace = Arc::new(trace);
-        let mut cache = shared.cache.lock().unwrap();
-        let cached = cache
-            .entry((shared.key, class))
-            .or_insert((shared.epoch, trace));
-        slot.trace = Some((Arc::clone(&cached.1), cached.0 != shared.epoch));
-        return Ok((Some(counters), cycles, OUT_RECORDED));
-    }
-    // Disjoint field borrows: the trace is read while the stats are bumped.
+    let class_trace = &traces.classes[&class];
     let ClassSlot {
-        trace,
         stats,
         replay_n,
         replay_tx,
-    } = slot;
-    let (trace, prior) = trace.as_ref().expect("slot resolved above");
+    } = classes.entry(class).or_default();
+    if let Some((recorded_idx, run)) = &class_trace.recorded {
+        if *recorded_idx == idx {
+            let (counters, cycles, journal) = run.as_ref().map_err(Clone::clone)?;
+            writes.extend_from_slice(journal);
+            stats.recorded += 1;
+            return Ok((Some(counters.clone()), *cycles, OUT_RECORDED));
+        }
+    }
+    let Some(trace) = &class_trace.trace else {
+        // The class's recording failed, so the launch reports that error;
+        // the class's other blocks run plain decoded meanwhile.
+        return run_decoded(dk, ctx, scratch, writes).map(|(c, cycles)| (Some(c), cycles, OUT_RUN));
+    };
     let journal_mark = writes.len();
     match replay_block(dk, trace, ctx, scratch, writes, batch_guards) {
         Ok((tx, cycles, batched)) => {
@@ -1410,7 +1514,7 @@ fn run_block_replay(
             if batched {
                 *guard_fast += 1;
             }
-            if *prior {
+            if class_trace.prior {
                 *xlaunch += 1;
             }
             Ok((None, cycles, OUT_REPLAYED))
@@ -1437,6 +1541,7 @@ fn run_block_replay(
 fn reduce_chunk_accs(
     static_footprint: u32,
     classified: bool,
+    traces: Option<&LaunchTraces>,
     accs: Vec<ChunkAcc>,
 ) -> Result<
     (
@@ -1467,7 +1572,9 @@ fn reduce_chunk_accs(
             if slot.replay_n == 0 {
                 continue;
             }
-            let (trace, _) = slot.trace.as_ref().expect("replayed without a trace");
+            let trace = traces
+                .and_then(|t| t.classes[&c].trace.as_ref())
+                .expect("replayed without a trace");
             let expanded = trace.replayed_counters(slot.replay_n, slot.replay_tx);
             flat.merge(&expanded);
             if classified {
