@@ -1,19 +1,15 @@
-//! Cold-start benchmark for the persistent artifact cache plus the batched
-//! sibling-block guard ablation. Writes `target/results/BENCH_PR9.json`
-//! (schema `isp-coldstart-v1`) for CI artifact upload.
+//! Cold-start benchmark for the persistent artifact cache. Writes
+//! `target/results/BENCH_PR9.json` (schema `isp-coldstart-v1`) for CI
+//! artifact upload.
 //!
 //! The cold/warm comparison is measured across **separate processes**: the
 //! parent re-invokes its own executable twice with `--phase cold|warm`
 //! pointing both children at one shared cache directory. The cold child
 //! starts from an empty directory (every kernel decodes, every class
-//! records); the warm child finds the cold child's artifacts and replays
-//! from block 0 of its first launch. Both children report per-cell
-//! fingerprints (counters, cycles, pixel hash) so the parent can verify
-//! the warm sweep is bit-identical, not just faster.
-//!
-//! The guard-batching ablation runs in-process: two warmed replay engines —
-//! one with batched guard evaluation, one forced onto the per-block guard
-//! path — time the identical replay-heavy sweep.
+//! records); the warm child finds the cold child's replay traces, decodes
+//! each kernel once, and replays from block 0 of its first launch. Both
+//! children report per-cell fingerprints (counters, cycles, pixel hash) so
+//! the parent can verify the warm sweep is bit-identical, not just faster.
 //!
 //! Usage: `cargo run -p isp-bench --bin cold_start --release`
 
@@ -176,152 +172,10 @@ fn run_child(phase: &str, dir: &str) -> Json {
     Json::parse(line).expect("child report parses")
 }
 
-/// One precompiled ablation workload: app pipeline + compiled kernels +
-/// border + source image.
-struct AblationItem {
-    app: isp_filters::apps::App,
-    compiled: Vec<isp_dsl::CompiledKernel>,
-    border: BorderSpec,
-    source: isp_image::Image<f32>,
-}
-
-/// Precompile the guard-ablation workload: the gaussian stencil across
-/// three border patterns. Its border-class replay programs are the
-/// guard-densest in the app suite — the separable range guards and rebase
-/// checks the batched path hoists are 40-55% of each block's dispatch
-/// units, so the A/B contrast times the per-block guard work the batching
-/// removes. The heavier apps dilute that contrast with work both arms
-/// share: bilateral is SFU-dominated, laplace re-executes 2-4x more
-/// arithmetic per block, and sobel's pointwise gradient stages replay
-/// guard-free. (Bit-identity of batched replay for every app is covered
-/// separately by the engine-equivalence test suites.) The image is a tall
-/// strip: at width 64 every (32,4) block sits in a border region class,
-/// and the `height` blocks amortise per-launch setup. Compile happens
-/// here, outside the timed loop.
-fn ablation_items(height: usize) -> Vec<AblationItem> {
-    let mut items = Vec::new();
-    let apps = ["gaussian"];
-    // Constant-border edge traces never transfer to siblings (their
-    // pattern-guarded accesses MemPattern-deopt every block), so including
-    // them would time the decoded fallback, not the replay engine the
-    // ablation isolates. The other three patterns replay deopt-free.
-    let patterns = [
-        BorderPattern::Clamp,
-        BorderPattern::Mirror,
-        BorderPattern::Repeat,
-    ];
-    for app in apps {
-        let app = isp_filters::by_name(app).unwrap();
-        for pattern in patterns {
-            let border = BorderSpec::from_pattern(pattern);
-            let compiled = app
-                .pipeline
-                .compile(&Compiler::new(), border, Variant::IspBlock);
-            items.push(AblationItem {
-                app: app.clone(),
-                compiled,
-                border,
-                source: isp_image::ImageGenerator::new(7).natural::<f32>(64, height),
-            });
-        }
-    }
-    items
-}
-
-/// The guard-ablation sweep: replay-heavy (large grids, warmed traces), so
-/// per-block guard evaluation is the measured hot loop.
-fn ablation_sweep(gpu: &Gpu, items: &[AblationItem]) {
-    for item in items {
-        let refs: Vec<&isp_dsl::CompiledKernel> = item.compiled.iter().collect();
-        item.app
-            .pipeline
-            .run_with(
-                gpu,
-                &refs,
-                &item.source,
-                item.border,
-                (32, 4),
-                Policy::AlwaysIsp(Variant::IspBlock),
-                ExecMode::Exhaustive,
-                // Serial block workers: the ablation isolates the replay
-                // engine's per-block guard work, and single-threaded timing
-                // keeps scheduler jitter out of the arm-to-arm comparison.
-                isp_dsl::runner::ExecStrategy::Serial,
-                &mut |gpu, ck, geom| isp_dsl::runner::plan_for(gpu, ck, geom),
-            )
-            .expect("ablation run");
-    }
-}
-
-/// Time the warmed ablation sweep with guard batching on vs off, strictly
-/// interleaved (A,B,A,B,...) so clock drift, turbo decay, and page-cache
-/// effects hit both arms equally. Each arm is scored by its best run —
-/// under the additive interference of a shared machine, the minimum is
-/// the sample closest to the undisturbed time, and interleaving keeps the
-/// two minima comparable. The median of per-pair ratios is also returned
-/// as a robustness cross-check (adjacent runs see near-identical machine
-/// state, so each pair ratio cancels slow drift). Returns (batched best
-/// ms, per-block best ms, median pair ratio, guard-batched replays,
-/// batched fp, per-block fp) where each fp fingerprints the arm's
-/// replay/deopt/decode counters.
-fn ablation(size: usize, runs: usize) -> (f64, f64, f64, u64, u64, u64) {
-    let items = ablation_items(size);
-    let on = Gpu::new(DeviceSpec::gtx680()).with_guard_batching(true);
-    let off = Gpu::new(DeviceSpec::gtx680()).with_guard_batching(false);
-    // Warm every trace first so the timed sweeps are pure replay.
-    ablation_sweep(&on, &items);
-    ablation_sweep(&off, &items);
-    let mut on_ms = Vec::with_capacity(runs);
-    let mut off_ms = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t = Instant::now();
-        ablation_sweep(&on, &items);
-        on_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        ablation_sweep(&off, &items);
-        off_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut ratios: Vec<f64> = on_ms.iter().zip(&off_ms).map(|(a, b)| b / a).collect();
-    ratios.sort_by(f64::total_cmp);
-    let pair_median = ratios[ratios.len() / 2];
-    let best = |v: Vec<f64>| v.into_iter().fold(f64::INFINITY, f64::min);
-    let fp_of = |gpu: &Gpu| {
-        let trace = gpu.trace_stats();
-        let mut fp = Fnv::new();
-        fp.word(trace.replayed);
-        fp.word(trace.deopted);
-        fp.word(gpu.decode_stats().misses);
-        fp.0
-    };
-    let (a, b) = (fp_of(&on), fp_of(&off));
-    (
-        best(on_ms),
-        best(off_ms),
-        pair_median,
-        on.guard_batched_replays(),
-        a,
-        b,
-    )
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() == 3 && args[0] == "--phase" {
         child(&args[1], &args[2]);
-        return;
-    }
-    if args.len() == 3 && args[0] == "--ablate" {
-        // Dev escape hatch: time just the guard ablation at a given image
-        // size and run count, e.g. `cold_start --ablate 128 9`.
-        let size: usize = args[1].parse().expect("size");
-        let runs: usize = args[2].parse().expect("runs");
-        let (on_ms, off_ms, pair_median, replays, on_fp, off_fp) = ablation(size, runs);
-        println!(
-            "ablate size={size}: batched {on_ms:.2} ms vs per-block {off_ms:.2} ms \
-             ({:.3}x, pair-median {pair_median:.3}x, {replays} batched replays, fp {})",
-            off_ms / on_ms,
-            if on_fp == off_fp { "equal" } else { "DIVERGED" },
-        );
         return;
     }
 
@@ -343,13 +197,24 @@ fn main() {
     let (cold_ms, warm_ms) = (ms(&cold), ms(&warm));
     let warm_speedup = cold_ms / warm_ms;
 
-    // The warm process must have loaded from disk and done zero cold work.
+    // The warm process must have loaded every trace from disk: it decodes
+    // each kernel once, as the cold one did, records nothing, and every
+    // block it replays is a cross-launch hit.
     let warm_disk = warm.get("disk").unwrap();
     assert!(u(warm_disk, "hits") > 0, "warm child had no disk hits");
     assert_eq!(u(warm_disk, "corrupt"), 0, "warm child saw corrupt files");
     assert_eq!(u(warm_disk, "stale"), 0, "warm child saw stale files");
-    assert_eq!(u(&warm, "decode_misses"), 0, "warm child decoded");
+    assert_eq!(
+        u(&warm, "decode_misses"),
+        u(&cold, "decode_misses"),
+        "warm child decodes each kernel once"
+    );
     assert_eq!(u(&warm, "trace_recorded"), 0, "warm child recorded");
+    assert_eq!(
+        u(&warm, "cross_launch_hits"),
+        u(&warm, "trace_replayed"),
+        "every warm block replays a disk trace"
+    );
     assert!(u(&cold, "trace_recorded") > 0, "cold child never recorded");
 
     // Every cell bit-identical: counters, cycles, pixels.
@@ -364,43 +229,17 @@ fn main() {
         cold_cells.len()
     );
 
-    println!("cold-start: guard-batching ablation (warmed replay sweeps)");
-    let (batched_ms, unbatched_ms, pair_median, batched_replays, batched_fp, unbatched_fp) =
-        ablation(4096, 25);
-    let guard_speedup = unbatched_ms / batched_ms;
-    assert!(batched_replays > 0, "batched run used no fast path");
-    assert_eq!(batched_fp, unbatched_fp, "ablation runs diverged");
-    println!(
-        "cold-start: batched {batched_ms:.1} ms vs per-block {unbatched_ms:.1} ms \
-         ({guard_speedup:.2}x, pair-median {pair_median:.2}x)"
-    );
-
     let doc = Json::obj()
         .set("schema", "isp-coldstart-v1")
         .set("device", "GTX680")
         .set("cold", cold)
         .set("warm", warm)
-        .set("warm_speedup", warm_speedup)
-        .set(
-            "guard_ablation",
-            Json::obj()
-                .set("size", 4096)
-                .set("batched_ms", batched_ms)
-                .set("unbatched_ms", unbatched_ms)
-                .set("speedup", guard_speedup)
-                .set("pair_median_speedup", pair_median)
-                .set("batched_replays", batched_replays)
-                .set("counters_identical", true),
-        );
+        .set("warm_speedup", warm_speedup);
     write_json_doc("BENCH_PR9", &doc).expect("write BENCH_PR9.json");
     println!("cold-start: wrote target/results/BENCH_PR9.json");
 
     assert!(
         warm_speedup >= 1.3,
         "disk-warm sweep must be >= 1.3x faster than cold, got {warm_speedup:.2}x"
-    );
-    assert!(
-        guard_speedup >= 1.10,
-        "guard batching must be >= 1.10x on the replay sweep, got {guard_speedup:.2}x"
     );
 }

@@ -1,7 +1,6 @@
 //! Per-region profiling harness: exhaustive naive + ISP runs, `==PROF==`
-//! per-region tables with model-residual columns, and a JSON metrics
-//! trajectory written to `target/results/BENCH_PR2.json` for CI artifact
-//! upload.
+//! per-region tables with model-residual columns, and the same profiles
+//! as JSON in `target/results/BENCH_PR2.json` (schema `isp-prof-v1`).
 //!
 //! Usage: `cargo run -p isp-bench --bin prof_json --release [-- filter pattern size...]`
 //!

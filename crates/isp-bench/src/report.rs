@@ -68,7 +68,7 @@ pub fn fmt_speedup(s: f64) -> String {
 
 /// The directory all harness binaries publish JSON artifacts into
 /// (`target/results/`), created on first use. Shared by `prof_json`,
-/// `sim_speed`, and `timeline` so CI uploads one predictable location.
+/// `timeline` and `cold_start` so CI uploads one predictable location.
 pub fn results_dir() -> io::Result<PathBuf> {
     let dir = PathBuf::from("target/results");
     fs::create_dir_all(&dir)?;
@@ -76,8 +76,7 @@ pub fn results_dir() -> io::Result<PathBuf> {
 }
 
 /// Write a JSON document to `target/results/{name}.json` (pretty-printed)
-/// and return the path. This is how the profiling harness publishes its
-/// `BENCH_PR2.json` trajectory for CI artifact upload.
+/// and return the path.
 pub fn write_json_doc(name: &str, doc: &Json) -> io::Result<PathBuf> {
     let path = results_dir()?.join(format!("{name}.json"));
     fs::write(&path, doc.render_pretty())?;

@@ -46,21 +46,11 @@ impl Engine {
     }
 
     /// [`Engine::new`] with an explicit simulator [`ExecEngine`] — the
-    /// before/after speed benchmark builds `Reference` and `Decoded` engines
-    /// to measure against the replay default.
+    /// differential tests build `Reference` and `Decoded` engines to check
+    /// against the replay default.
     pub fn with_exec_engine(device: DeviceSpec, exec: ExecEngine) -> Self {
-        Self::with_fusion(device, exec, true)
-    }
-
-    /// [`Engine::with_exec_engine`] with explicit control of the
-    /// simulator's superinstruction fusion pass — the fusion ablation
-    /// benchmark builds fusion-off engines to measure the fused dispatch
-    /// gain in isolation.
-    pub fn with_fusion(device: DeviceSpec, exec: ExecEngine, fusion: bool) -> Self {
         Engine {
-            gpu: Gpu::new(device.clone())
-                .with_engine(exec)
-                .with_fusion(fusion),
+            gpu: Gpu::new(device.clone()).with_engine(exec),
             device,
             compiler: Compiler::new(),
             kernels: Mutex::new(HashMap::new()),
@@ -68,30 +58,6 @@ impl Engine {
             counters: CacheCounters::default(),
             probe: ProbeHandle::none(),
         }
-    }
-
-    /// Builder: persist and pre-warm simulator artifacts (decoded kernels,
-    /// recorded replay traces) through an on-disk cache rooted at `path` —
-    /// a fresh process or shard sharing the directory replays from block 0
-    /// of its first launch. Off by default.
-    pub fn with_disk_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.gpu = self.gpu.clone().with_disk_cache(path);
-        self
-    }
-
-    /// Builder: drop any configured disk cache (the default state), so
-    /// tests and `loadgen` control persistence deterministically.
-    pub fn without_disk_cache(mut self) -> Self {
-        self.gpu = self.gpu.clone().without_disk_cache();
-        self
-    }
-
-    /// Builder: enable or disable the simulator's batched sibling-block
-    /// guard evaluation (on by default; the `cold_start` ablation turns it
-    /// off).
-    pub fn with_guard_batching(mut self, on: bool) -> Self {
-        self.gpu = self.gpu.clone().with_guard_batching(on);
-        self
     }
 
     /// Attach a probe sink to this engine and its [`Gpu`]. Compile, plan,

@@ -4,9 +4,8 @@
 //! naive version may have many conditional statements in the source code, but
 //! many of them share common sub-expressions that can be optimized by the
 //! NVCC compiler". Running the same passes over naive and ISP variants keeps
-//! the instruction-count comparison honest — and the `ablation_cse` /
-//! `ablation_opt` benches flip passes off to show how large the
-//! *un*-optimised gap would look.
+//! the instruction-count comparison honest — and the `ablation_cse` bench
+//! flips passes off to show how large the *un*-optimised gap would look.
 //!
 //! The pipeline (driven by [`optimize`] / [`optimize_with_stats`]) runs each
 //! enabled pass as `fn(&mut Kernel) -> bool` and, in [`OptConfig::pipeline`]

@@ -9,7 +9,7 @@
 //! slice per block, keyed by region class).
 //!
 //! Instrumentation must cost nothing when nobody is listening: the golden
-//! instruction counts and the `sim_speed` medians are pinned with the probe
+//! instruction counts and perfbench's host times are taken with the probe
 //! disabled. Two mechanisms guarantee that:
 //!
 //! - [`ProbeHandle`] caches the sink's `enabled()` answer at construction,

@@ -64,7 +64,6 @@ impl ServeConfig {
                 .map(|device| ShardSpec {
                     device,
                     worker_cap: cap,
-                    cache_dir: None,
                 })
                 .collect(),
             routing: Routing::Model,
@@ -84,7 +83,6 @@ impl ServeConfig {
             shards: vec![ShardSpec {
                 device: DeviceSpec::rtx2080(),
                 worker_cap: Self::caps(1),
-                cache_dir: None,
             }],
             routing: Routing::Fixed,
             max_batch: 1,
@@ -108,17 +106,6 @@ impl ServeConfig {
     pub fn with_slo_ms(mut self, slo_ms: f64) -> Self {
         assert!(slo_ms > 0.0, "SLO must be positive");
         self.slo_ms = Some(slo_ms);
-        self
-    }
-
-    /// Point every shard at a shared persistent artifact-cache directory:
-    /// freshly spawned shards pre-warm decoded kernels and replay traces
-    /// from disk and persist what they record for the next fleet.
-    pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        let dir = dir.into();
-        for shard in &mut self.shards {
-            shard.cache_dir = Some(dir.clone());
-        }
         self
     }
 }

@@ -20,11 +20,6 @@ pub struct ShardSpec {
     pub device: DeviceSpec,
     /// Thread budget for this shard's launches (its `with_worker_cap`).
     pub worker_cap: usize,
-    /// Optional persistent artifact-cache directory: when set, the shard's
-    /// engine pre-warms decoded kernels and replay traces from disk at
-    /// first use — a freshly spawned shard replays from block 0 of its
-    /// first launch — and persists whatever it records for the next shard.
-    pub cache_dir: Option<std::path::PathBuf>,
 }
 
 /// A running shard: engine + probe + worker thread, plus the virtual-time
@@ -58,11 +53,7 @@ impl Shard {
     pub fn new(index: usize, spec: &ShardSpec) -> Self {
         let probe = Arc::new(RecordingProbe::new());
         let handle = ProbeHandle::new(Arc::clone(&probe) as Arc<dyn isp_probe::Probe>);
-        let mut engine = Engine::new(spec.device.clone()).with_probe(handle);
-        if let Some(dir) = &spec.cache_dir {
-            engine = engine.with_disk_cache(dir.clone());
-        }
-        let engine = Arc::new(engine);
+        let engine = Arc::new(Engine::new(spec.device.clone()).with_probe(handle));
         let (job_tx, job_rx) = mpsc::channel::<Vec<Request>>();
         let (done_tx, done_rx) = mpsc::channel();
         let worker_engine = Arc::clone(&engine);

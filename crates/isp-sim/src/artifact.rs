@@ -1,26 +1,24 @@
-//! Persistent on-disk artifact cache: decoded kernels and compiled replay
-//! traces serialized through `isp-json`, so a fresh process (or a newly
-//! spawned `isp-serve` shard) replays from the first block of its first
-//! launch instead of paying decode + record + classify + compile from zero.
+//! Persistent on-disk artifact cache: compiled replay traces serialized
+//! through `isp-json`, so a fresh process (or a newly spawned `isp-serve`
+//! shard) replays from the first block of its first launch instead of
+//! paying record + classify + compile from zero. Decoded kernels are not
+//! persisted: decoding is a small share of a cold op, so a warm process
+//! decodes each kernel once and finalizes the loaded traces against it.
 //!
 //! # Layout and keying
 //!
 //! All files live under `<root>/v<CACHE_FORMAT_VERSION>/`, where `<root>`
-//! is the directory handed to [`DiskCache::at`] (callers usually resolve it
-//! via [`default_cache_dir`]: `$ISP_CACHE_DIR` or `target/isp-cache`).
-//! Bumping [`CACHE_FORMAT_VERSION`] therefore orphans old files wholesale —
-//! no migration logic, stale versions are simply never read again.
+//! is the directory handed to [`DiskCache::at`]. Bumping
+//! [`CACHE_FORMAT_VERSION`] therefore orphans old files wholesale — no
+//! migration logic, stale versions are simply never read again.
 //!
-//! - **Kernel files** `k-<kernel_fp>-<device_fp>-<fuse>.json` hold one
-//!   serialized [`DecodedKernel`] core, keyed by the kernel's structural
-//!   fingerprint, the device fingerprint (issue costs and memory timing are
-//!   baked in at decode time), and the fusion flag.
-//! - **Trace files** `t-<file_id>.json` hold every recorded class trace for
-//!   one launch key, where `file_id` hashes (kernel fingerprint, device
-//!   fingerprint, fusion, grid, block, scalar param bits) — everything a
-//!   recorded trace pins. Buffer contents are deliberately absent from the
-//!   key: replay guards re-validate every access and deopt on divergence,
-//!   so reuse is bit-exact by construction.
+//! **Trace files** `t-<file_id>.json` hold every recorded class trace for
+//! one launch key, where `file_id` hashes (kernel fingerprint, device
+//! fingerprint, grid, block, scalar param bits) — everything a recorded
+//! trace pins. Buffer contents are deliberately absent from the key:
+//! replay guards re-validate every access and deopt on divergence, so
+//! reuse is bit-exact by construction. Any other file in the directory
+//! (such as the `k-*.json` kernel files older builds wrote) is never read.
 //!
 //! Every key component is also stored *verbatim inside* the file and
 //! re-checked on load; a mismatch (hash collision, renamed file) counts as
@@ -31,7 +29,7 @@
 //! observe a half-written artifact, and all I/O errors are swallowed: the
 //! cache is strictly best-effort.
 
-use crate::decode::{decoded_from_json, decoded_to_json, DecodedKernel};
+use crate::decode::DecodedKernel;
 use crate::device::DeviceSpec;
 use crate::interp::WARP;
 use crate::launch::{LaunchConfig, ParamValue};
@@ -46,19 +44,6 @@ use std::sync::Arc;
 /// On-disk format version. Part of the directory name: bumping it
 /// invalidates every previously written artifact at once.
 pub const CACHE_FORMAT_VERSION: u64 = 1;
-
-/// Environment variable overriding the default cache root.
-pub const CACHE_DIR_ENV: &str = "ISP_CACHE_DIR";
-
-/// The cache root used when no explicit path is given: `$ISP_CACHE_DIR`,
-/// falling back to `target/isp-cache` (inside the build tree, so `cargo
-/// clean` clears it along with everything else derived).
-pub fn default_cache_dir() -> PathBuf {
-    match std::env::var_os(CACHE_DIR_ENV) {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => PathBuf::from("target").join("isp-cache"),
-    }
-}
 
 /// Disk-cache traffic counters (shared across the owning `Gpu`'s clone
 /// family, like every other cache statistic).
@@ -112,7 +97,6 @@ pub fn fingerprint_device(spec: &DeviceSpec) -> u64 {
 pub(crate) struct TraceFileKey {
     pub kernel_fp: u64,
     pub device_fp: u64,
-    pub fuse: bool,
     pub grid: (u32, u32),
     pub block: (u32, u32),
     /// `(tag, bits)` per scalar param: tag 0 = i32, 1 = f32 (bitwise, so
@@ -124,14 +108,12 @@ impl TraceFileKey {
     pub(crate) fn new(
         kernel_fp: u64,
         device: &DeviceSpec,
-        fuse: bool,
         cfg: LaunchConfig,
         params: &[ParamValue],
     ) -> TraceFileKey {
         TraceFileKey {
             kernel_fp,
             device_fp: fingerprint_device(device),
-            fuse,
             grid: cfg.grid,
             block: cfg.block,
             params: params
@@ -150,7 +132,6 @@ impl TraceFileKey {
         let mut h = DefaultHasher::new();
         self.kernel_fp.hash(&mut h);
         self.device_fp.hash(&mut h);
-        self.fuse.hash(&mut h);
         self.grid.hash(&mut h);
         self.block.hash(&mut h);
         self.params.hash(&mut h);
@@ -161,7 +142,6 @@ impl TraceFileKey {
         Json::obj()
             .set("kernel_fp", self.kernel_fp)
             .set("device_fp", self.device_fp)
-            .set("fuse", self.fuse)
             .set(
                 "grid",
                 Json::Arr(vec![
@@ -219,7 +199,6 @@ impl TraceFileKey {
         Some(
             j.get("kernel_fp")?.as_u64()? == self.kernel_fp
                 && j.get("device_fp")?.as_u64()? == self.device_fp
-                && j.get("fuse")?.as_bool()? == self.fuse
                 && pair(j.get("grid")?)? == self.grid
                 && pair(j.get("block")?)? == self.block
                 && params == self.params,
@@ -257,16 +236,6 @@ impl DiskCache {
         }
     }
 
-    /// A cache rooted at [`default_cache_dir`].
-    pub fn at_default() -> DiskCache {
-        DiskCache::at(default_cache_dir())
-    }
-
-    /// The versioned directory artifacts are read from and written to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Traffic counters since this handle (or the family it was cloned
     /// from) was created.
     pub fn stats(&self) -> DiskCacheStats {
@@ -277,13 +246,6 @@ impl DiskCache {
             corrupt: self.corrupt.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
         }
-    }
-
-    fn kernel_path(&self, kernel_fp: u64, device_fp: u64, fuse: bool) -> PathBuf {
-        self.dir.join(format!(
-            "k-{kernel_fp:016x}-{device_fp:016x}-{}.json",
-            fuse as u8
-        ))
     }
 
     fn trace_path(&self, key: &TraceFileKey) -> PathBuf {
@@ -329,59 +291,6 @@ impl DiskCache {
         } else {
             let _ = std::fs::remove_file(&tmp);
         }
-    }
-
-    /// Load a decoded kernel, fully validated against the requested key and
-    /// reconstructed for `device`.
-    pub(crate) fn load_kernel(
-        &self,
-        kernel_fp: u64,
-        fuse: bool,
-        device: &DeviceSpec,
-    ) -> DiskLoad<DecodedKernel> {
-        let device_fp = fingerprint_device(device);
-        let doc = match self.read_doc(&self.kernel_path(kernel_fp, device_fp, fuse)) {
-            DiskLoad::Hit(doc) => doc,
-            DiskLoad::Miss => return DiskLoad::Miss,
-            DiskLoad::Stale => return DiskLoad::Stale,
-            DiskLoad::Corrupt => return DiskLoad::Corrupt,
-        };
-        let Some(version) = doc.get("version").and_then(Json::as_u64) else {
-            return self.count(DiskLoad::Corrupt);
-        };
-        if version != CACHE_FORMAT_VERSION {
-            return self.count(DiskLoad::Stale);
-        }
-        if doc.get("kind").and_then(Json::as_str) != Some("kernel") {
-            return self.count(DiskLoad::Corrupt);
-        }
-        let header_ok = doc.get("kernel_fp").and_then(Json::as_u64) == Some(kernel_fp)
-            && doc.get("device_fp").and_then(Json::as_u64) == Some(device_fp)
-            && doc.get("fuse").and_then(Json::as_bool) == Some(fuse);
-        if !header_ok {
-            return self.count(DiskLoad::Stale);
-        }
-        let Some(dk) = doc.get("kernel").and_then(|k| decoded_from_json(k, device)) else {
-            return self.count(DiskLoad::Corrupt);
-        };
-        if dk.fingerprint != kernel_fp || dk.fuse != fuse {
-            return self.count(DiskLoad::Stale);
-        }
-        self.count(DiskLoad::Hit(dk))
-    }
-
-    /// Store a decoded kernel for `device`.
-    pub(crate) fn store_kernel(&self, dk: &DecodedKernel, device: &DeviceSpec) {
-        let device_fp = fingerprint_device(device);
-        let doc = Json::obj()
-            .set("version", CACHE_FORMAT_VERSION)
-            .set("kind", "kernel")
-            .set("kernel_fp", dk.fingerprint)
-            .set("device_fp", device_fp)
-            .set("fuse", dk.fuse)
-            .set("device", format!("{device:?}"))
-            .set("kernel", decoded_to_json(dk));
-        self.write_doc(&self.kernel_path(dk.fingerprint, device_fp, dk.fuse), &doc);
     }
 
     /// Load every class trace recorded for `key`, validated and finalized

@@ -679,8 +679,9 @@ pub fn decode(kernel: &Kernel, device: &DeviceSpec) -> DecodedKernel {
     decode_with_fusion(kernel, device, true)
 }
 
-/// [`decode`] with explicit control over the fusion pass — ablation
-/// binaries and the observability-neutrality tests compare both decodings.
+/// [`decode`] with explicit control over the fusion pass. Every launch path
+/// decodes fused; the unfused decoding is the reference the fusion and
+/// dispatch-count tests compare against.
 pub fn decode_with_fusion(kernel: &Kernel, device: &DeviceSpec, fuse: bool) -> DecodedKernel {
     let ipdom = Cfg::new(kernel).ipostdom();
     let mut low = Lowerer {
@@ -2824,15 +2825,11 @@ fn run_decoded_batched(
 }
 
 // ---------------------------------------------------------------------------
-// Artifact serialization: `DecodedKernel` <-> `isp_json::Json` for the
-// persistent on-disk cache (`crate::artifact`). Only the semantic core is
-// written; everything derivable is recomputed at load against the loading
-// process's `DeviceSpec` — `fops` re-fused, `zero_rows` re-analysed, issue
-// costs and device parameters re-baked — so a format change in a derived
-// structure never invalidates cached files. Deserialization is defensive:
-// every register-row base, block index, and branch target is validated
-// before the kernel is allowed near an executor, and any structural problem
-// returns `None` (the cache layer counts it as corrupt and recompiles).
+// Op and counter serialization shared by the replay-trace files of the
+// persistent on-disk cache (`crate::artifact`, `crate::trace`).
+// Deserialization is defensive: every register-row base is validated before
+// an op is allowed near an executor, and any structural problem returns
+// `None` (the cache layer counts it as corrupt and re-records).
 // ---------------------------------------------------------------------------
 
 use isp_json::Json;
@@ -3108,42 +3105,6 @@ pub(crate) fn dopkind_rows_valid(kind: &DOpKind, num_slots: u32) -> bool {
     }
 }
 
-fn dterm_to_json(term: &DTerm) -> Json {
-    match *term {
-        DTerm::Ret => json_u64s(&[0]),
-        DTerm::Br { target } => json_u64s(&[1, target as u64]),
-        DTerm::CondBr {
-            pred,
-            if_true,
-            if_false,
-            ipdom,
-        } => json_u64s(&[
-            2,
-            pred as u64,
-            if_true as u64,
-            if_false as u64,
-            ipdom as u64,
-        ]),
-    }
-}
-
-fn dterm_from_json(j: &Json) -> Option<DTerm> {
-    let v = j.as_arr()?;
-    let n = |i: usize| -> Option<u64> { v.get(i)?.as_u64() };
-    let u = |i: usize| -> Option<u32> { u32::try_from(n(i)?).ok() };
-    Some(match n(0)? {
-        0 => DTerm::Ret,
-        1 => DTerm::Br { target: u(1)? },
-        2 => DTerm::CondBr {
-            pred: u(1)?,
-            if_true: u(2)?,
-            if_false: u(3)?,
-            ipdom: u(4)?,
-        },
-        _ => return None,
-    })
-}
-
 /// Serialize [`FlatCounters`] (the recorded block's counters embedded in a
 /// trace).
 pub(crate) fn counters_to_json(c: &FlatCounters) -> Json {
@@ -3188,168 +3149,6 @@ pub(crate) fn counters_from_json(j: &Json) -> Option<FlatCounters> {
         tex_accesses: n(6)?,
         threads_retired: n(7)?,
         blocks: n(8)?,
-    })
-}
-
-/// Serialize a decoded kernel's semantic core.
-pub(crate) fn decoded_to_json(dk: &DecodedKernel) -> Json {
-    let ops = Json::Arr(
-        dk.ops
-            .iter()
-            .map(|op| {
-                Json::Arr(vec![
-                    Json::U64(op.cost as u64),
-                    Json::U64(op.cat as u64),
-                    dopkind_to_json(&op.kind),
-                ])
-            })
-            .collect(),
-    );
-    let blocks = Json::Arr(
-        dk.blocks
-            .iter()
-            .map(|b| {
-                Json::Arr(vec![
-                    Json::U64(b.start as u64),
-                    Json::U64(b.end as u64),
-                    dterm_to_json(&b.term),
-                    Json::Bool(b.is_bar),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj()
-        .set("name", dk.name.as_str())
-        .set("fingerprint", dk.fingerprint)
-        .set("fuse", dk.fuse)
-        .set("num_vregs", dk.num_vregs)
-        .set("shared_elems", dk.shared_elems)
-        .set(
-            "imms",
-            json_u64s(&dk.imms.iter().map(|&b| b as u64).collect::<Vec<_>>()),
-        )
-        .set("ops", ops)
-        .set("blocks", blocks)
-}
-
-/// Reconstruct a [`DecodedKernel`] from its serialized core, re-deriving
-/// everything else against `device` exactly as [`decode_with_fusion`] does.
-/// Returns `None` on any structural problem.
-pub(crate) fn decoded_from_json(j: &Json, device: &DeviceSpec) -> Option<DecodedKernel> {
-    let name = j.get("name")?.as_str()?.to_string();
-    let fingerprint = j.get("fingerprint")?.as_u64()?;
-    let fuse = j.get("fuse")?.as_bool()?;
-    let num_vregs = u32::try_from(j.get("num_vregs")?.as_u64()?).ok()?;
-    let shared_elems = u32::try_from(j.get("shared_elems")?.as_u64()?).ok()?;
-    let imms = j
-        .get("imms")?
-        .as_arr()?
-        .iter()
-        .map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
-        .collect::<Option<Vec<u32>>>()?;
-    let num_slots = num_vregs.checked_add(u32::try_from(imms.len()).ok()?)?;
-    // Bound the register file so a corrupt header cannot trigger a huge
-    // allocation at prepare time. Vreg numbering is sparse (the optimizer
-    // does not compact ids), so real kernels can sit well above their op
-    // count — bilateral13's ISP variant uses ~177k slots — hence a roomy
-    // cap that still keeps the worst-case scratch claim in the hundreds
-    // of megabytes rather than unbounded.
-    if num_slots > 1 << 21 {
-        return None;
-    }
-
-    let mut ops = Vec::new();
-    for item in j.get("ops")?.as_arr()? {
-        let f = item.as_arr()?;
-        if f.len() != 3 {
-            return None;
-        }
-        let cost = u32::try_from(f[0].as_u64()?).ok()?;
-        let cat = u8::try_from(f[1].as_u64()?).ok()?;
-        if (cat as usize) >= InstrCategory::ALL.len() {
-            return None;
-        }
-        let kind = dopkind_from_json(&f[2])?;
-        if !dopkind_rows_valid(&kind, num_slots) {
-            return None;
-        }
-        ops.push(DOp { cost, cat, kind });
-    }
-
-    let mut blocks = Vec::new();
-    let blocks_j = j.get("blocks")?.as_arr()?;
-    let nblocks = u32::try_from(blocks_j.len()).ok()?;
-    for item in blocks_j {
-        let f = item.as_arr()?;
-        if f.len() != 4 {
-            return None;
-        }
-        let start = u32::try_from(f[0].as_u64()?).ok()?;
-        let end = u32::try_from(f[1].as_u64()?).ok()?;
-        if start > end || end as usize > ops.len() {
-            return None;
-        }
-        let term = dterm_from_json(&f[2])?;
-        let tgt_ok = |t: u32| t < nblocks;
-        match term {
-            DTerm::Ret => {}
-            DTerm::Br { target } => {
-                if !tgt_ok(target) {
-                    return None;
-                }
-            }
-            DTerm::CondBr {
-                pred,
-                if_true,
-                if_false,
-                ipdom,
-            } => {
-                if pred % W != 0
-                    || pred / W >= num_slots
-                    || !tgt_ok(if_true)
-                    || !tgt_ok(if_false)
-                    || (ipdom != NO_BLOCK && !tgt_ok(ipdom))
-                {
-                    return None;
-                }
-            }
-        }
-        blocks.push(DBlock {
-            start,
-            end,
-            fstart: 0,
-            fend: 0,
-            term,
-            is_bar: f[3].as_bool()?,
-        });
-    }
-    if blocks.is_empty() {
-        return None;
-    }
-
-    let fops = if fuse {
-        fuse_blocks(&ops, &mut blocks)
-    } else {
-        Vec::new()
-    };
-    let zero_rows = rows_needing_zero(&ops, &blocks, num_vregs);
-    Some(DecodedKernel {
-        name,
-        fingerprint,
-        ops,
-        blocks,
-        fops,
-        fuse,
-        num_vregs,
-        num_slots,
-        imms,
-        shared_elems,
-        zero_rows,
-        mem_cycles: device.mem_transaction_cycles,
-        cost_bra: device.issue_cost(InstrCategory::Bra),
-        cost_ret: device.issue_cost(InstrCategory::Ret),
-        cost_bar2: device.issue_cost(InstrCategory::Bar2),
-        warp_size: device.warp_size,
     })
 }
 

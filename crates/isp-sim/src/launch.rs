@@ -11,7 +11,7 @@
 use crate::artifact::{DiskCache, DiskCacheStats, DiskLoad, TraceFileKey};
 use crate::counters::PerfCounters;
 use crate::decode::{
-    decode_with_fusion, kernel_fingerprint, run_block_decoded, run_decoded, run_decoded_traced,
+    decode, kernel_fingerprint, run_block_decoded, run_decoded, run_decoded_traced,
     DecodedBlockCtx, DecodedKernel, DecodedScratch, FlatCounters, FusionStats, Tracer,
 };
 use crate::device::DeviceSpec;
@@ -254,19 +254,14 @@ pub struct LaunchReport {
 /// replay guards re-validate every access against the live buffers and
 /// deopt on any divergence — reuse is always bit-exact.
 /// Decoded-kernel cache shared across a `Gpu` clone family, keyed by
-/// (kernel fingerprint, fusion flag).
-type DecodeCache = Arc<Mutex<HashMap<(u64, bool), Arc<DecodedKernel>>>>;
+/// kernel fingerprint.
+type DecodeCache = Arc<Mutex<HashMap<u64, Arc<DecodedKernel>>>>;
 
 #[derive(Debug, Clone)]
 pub struct Gpu {
     device: DeviceSpec,
     engine: ExecEngine,
     probe: ProbeHandle,
-    /// Whether kernels decode with the superinstruction fusion pass
-    /// (default on; ablation binaries and neutrality tests turn it off).
-    fusion: bool,
-    /// Keyed by (fingerprint, fusion) so a clone family mixing fused and
-    /// unfused launches never serves the wrong decoding.
     decode_cache: DecodeCache,
     decode_hits: Arc<AtomicU64>,
     decode_misses: Arc<AtomicU64>,
@@ -290,16 +285,13 @@ pub struct Gpu {
     /// Blocks replayed from a trace recorded by an *earlier* launch.
     trace_xlaunch: Arc<AtomicU64>,
     trace_deopt_reasons: Arc<[AtomicU64; DeoptReason::COUNT]>,
-    /// Whether replay uses the batched sibling-block guard fast path
-    /// (default on; the `cold_start` ablation turns it off).
-    guard_batching: bool,
     /// Blocks replayed through the guard-free `fast_prog` because they fell
     /// inside their trace's proven guard rectangle. A subset of
     /// [`TraceStats::replayed`].
     guard_fast: Arc<AtomicU64>,
     /// Optional persistent artifact cache (opt-in via
-    /// [`Gpu::with_disk_cache`]): decoded kernels and recorded traces are
-    /// stored to / pre-warmed from disk.
+    /// [`Gpu::with_disk_cache`]): recorded traces are stored to /
+    /// pre-warmed from disk.
     disk: Option<DiskCache>,
     /// Launch-trace keys whose disk pre-warm has already been attempted, so
     /// each key hits the filesystem at most once per clone family.
@@ -314,7 +306,6 @@ impl Gpu {
             device,
             engine: ExecEngine::default(),
             probe: ProbeHandle::none(),
-            fusion: true,
             decode_cache: Arc::new(Mutex::new(HashMap::new())),
             decode_hits: Arc::new(AtomicU64::new(0)),
             decode_misses: Arc::new(AtomicU64::new(0)),
@@ -328,7 +319,6 @@ impl Gpu {
             trace_deopted: Arc::new(AtomicU64::new(0)),
             trace_xlaunch: Arc::new(AtomicU64::new(0)),
             trace_deopt_reasons: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
-            guard_batching: true,
             guard_fast: Arc::new(AtomicU64::new(0)),
             disk: None,
             disk_warmed: Arc::new(Mutex::new(HashSet::new())),
@@ -341,61 +331,20 @@ impl Gpu {
         self
     }
 
-    /// Builder: enable or disable the superinstruction fusion pass for
-    /// subsequent decodes (on by default). Fusion is observationally
-    /// neutral — counters, cycles, pixels and journals are identical either
-    /// way — so this is only interesting to ablation and neutrality tests.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// Whether decodes run the fusion pass.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion
-    }
-
-    /// Builder: enable or disable batched sibling-block guard evaluation
-    /// for replayed blocks (on by default). Batching is observationally
-    /// neutral — a block inside the proven guard rectangle would have
-    /// passed every hoisted guard inline, and a block outside it deopts
-    /// exactly as the inline check would — so this switch exists for the
-    /// `cold_start` ablation and neutrality tests.
-    pub fn with_guard_batching(mut self, on: bool) -> Self {
-        self.guard_batching = on;
-        self
-    }
-
-    /// Whether replay uses the batched guard fast path.
-    pub fn guard_batching_enabled(&self) -> bool {
-        self.guard_batching
-    }
-
     /// Blocks replayed through the guard-free fast program because their
     /// offset fell inside the trace's proven guard rectangle.
     pub fn guard_batched_replays(&self) -> u64 {
         self.guard_fast.load(Ordering::Relaxed)
     }
 
-    /// Builder: persist decoded kernels and recorded traces to an on-disk
-    /// artifact cache rooted at `path`, and pre-warm from it — a fresh
-    /// process sharing the directory replays from block 0 of its first
-    /// launch. Off by default; see [`crate::artifact`] for the format.
+    /// Builder: persist recorded replay traces to an on-disk artifact cache
+    /// rooted at `path`, and pre-warm from it — a fresh process sharing the
+    /// directory decodes each kernel once and replays from block 0 of its
+    /// first launch. Off by default; see [`crate::artifact`] for the
+    /// format.
     pub fn with_disk_cache(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.disk = Some(DiskCache::at(path));
         self
-    }
-
-    /// Builder: drop any configured disk cache (the default state). Exists
-    /// so tests and `loadgen` can pin persistence off explicitly.
-    pub fn without_disk_cache(mut self) -> Self {
-        self.disk = None;
-        self
-    }
-
-    /// Whether an on-disk artifact cache is configured.
-    pub fn disk_cache_enabled(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// Disk-cache traffic counters (all zero when no cache is configured).
@@ -447,7 +396,7 @@ impl Gpu {
     /// structural fingerprint has been seen before. A miss decodes outside
     /// the cache lock (two racing misses decode twice, cache once).
     pub fn decode(&self, kernel: &Kernel) -> Arc<DecodedKernel> {
-        let fp = (kernel_fingerprint(kernel), self.fusion);
+        let fp = kernel_fingerprint(kernel);
         if let Some(dk) = self.decode_cache.lock().unwrap().get(&fp) {
             self.decode_hits.fetch_add(1, Ordering::Relaxed);
             if self.probe.is_enabled() {
@@ -457,32 +406,10 @@ impl Gpu {
             }
             return Arc::clone(dk);
         }
-        if let Some(disk) = &self.disk {
-            let outcome = disk.load_kernel(fp.0, fp.1, &self.device);
-            if self.probe.is_enabled() {
-                self.probe
-                    .count(&format!("gpu.disk_cache_{}", outcome.name()), 1);
-            }
-            if let DiskLoad::Hit(dk) = outcome {
-                // A disk hit skips the decode entirely: no decode miss, no
-                // fusion-stat accrual (the stored kernel was fused at store
-                // time; its stats describe that cold decode, not this load).
-                if self.probe.is_enabled() {
-                    self.probe
-                        .instant("disk-cache-hit", "gpu", Some(kernel.name.to_string()));
-                }
-                let dk = Arc::new(dk);
-                let mut cache = self.decode_cache.lock().unwrap();
-                return Arc::clone(cache.entry(fp).or_insert(dk));
-            }
-        }
         let t0 = self.probe.begin();
-        let dk = Arc::new(decode_with_fusion(kernel, &self.device, self.fusion));
+        let dk = Arc::new(decode(kernel, &self.device));
         self.probe
             .span("decode", "gpu", t0, || Some(kernel.name.to_string()));
-        if let Some(disk) = &self.disk {
-            disk.store_kernel(&dk, &self.device);
-        }
         self.decode_misses.fetch_add(1, Ordering::Relaxed);
         let fs = dk.fusion_stats();
         self.fused_groups.fetch_add(fs.groups, Ordering::Relaxed);
@@ -514,7 +441,7 @@ impl Gpu {
         if !self.disk_warmed.lock().unwrap().insert(key) {
             return;
         }
-        let tkey = TraceFileKey::new(dk.fingerprint, &self.device, self.fusion, cfg, params);
+        let tkey = TraceFileKey::new(dk.fingerprint, &self.device, cfg, params);
         let outcome = disk.load_traces(&tkey, dk);
         if self.probe.is_enabled() {
             self.probe
@@ -826,7 +753,6 @@ impl Gpu {
                             &mut acc.trace_xlaunch,
                             scratch,
                             &mut acc.writes,
-                            self.guard_batching,
                             &mut acc.guard_fast,
                         ),
                         None => match &block_start {
@@ -924,13 +850,7 @@ impl Gpu {
                                 v.sort_unstable_by_key(|&(c, _)| c);
                                 v
                             };
-                            let tkey = TraceFileKey::new(
-                                dk.fingerprint,
-                                &self.device,
-                                self.fusion,
-                                cfg,
-                                params,
-                            );
+                            let tkey = TraceFileKey::new(dk.fingerprint, &self.device, cfg, params);
                             disk.store_traces(&tkey, &entries);
                         }
                     }
@@ -1483,7 +1403,6 @@ fn run_block_replay(
     xlaunch: &mut u64,
     scratch: &mut DecodedScratch,
     writes: &mut Vec<(u32, usize, u32)>,
-    batch_guards: bool,
     guard_fast: &mut u64,
 ) -> Result<(Option<FlatCounters>, u64, u8), SimError> {
     let class_trace = &traces.classes[&class];
@@ -1506,7 +1425,7 @@ fn run_block_replay(
         return run_decoded(dk, ctx, scratch, writes).map(|(c, cycles)| (Some(c), cycles, OUT_RUN));
     };
     let journal_mark = writes.len();
-    match replay_block(dk, trace, ctx, scratch, writes, batch_guards) {
+    match replay_block(dk, trace, ctx, scratch, writes) {
         Ok((tx, cycles, batched)) => {
             stats.replayed += 1;
             *replay_n += 1;

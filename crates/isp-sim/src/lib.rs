@@ -37,7 +37,7 @@ pub mod rows;
 pub mod scheduler;
 pub mod trace;
 
-pub use artifact::{default_cache_dir, DiskCache, DiskCacheStats, CACHE_FORMAT_VERSION};
+pub use artifact::{DiskCache, DiskCacheStats, CACHE_FORMAT_VERSION};
 pub use counters::PerfCounters;
 pub use decode::{
     decode, decode_with_fusion, kernel_fingerprint, run_block_decoded, run_decoded,

@@ -39,8 +39,7 @@ fn simd_supported() -> bool {
 }
 
 /// Force the SIMD backend on or off for the whole process — the
-/// differential tests and the fusion ablation compare both paths in one
-/// binary. Enabling is a no-op when the `simd` feature is off or the host
+/// differential tests compare both paths in one binary. Enabling is a no-op when the `simd` feature is off or the host
 /// lacks AVX2; the scalar path is always available.
 pub fn set_simd_enabled(enabled: bool) {
     let mode = if enabled && simd_supported() { 2 } else { 1 };

@@ -543,8 +543,8 @@ pub struct Trace {
     /// Batch precondition for the `LdF`/`StF` units: per buffer, the largest
     /// address any such unit can touch from any block inside `rect` ∩ grid.
     /// Checked once per block against the launch's actual buffer lengths;
-    /// on failure replay falls back to the fully guarded `prog` (identical
-    /// behaviour to unbatched replay, including `Bounds` deopts).
+    /// on failure replay falls back to the fully guarded `prog`, which
+    /// checks every guard inline (including `Bounds` deopts).
     fast_pre: Vec<(u32, i64)>,
     /// Warp segment table for `fast_prog`: `(warp, start, end)` half-open
     /// unit ranges, precomputed at finalize so batched replay dispatches
@@ -1530,13 +1530,13 @@ pub(crate) fn record_block(
 /// [`Trace::replayed_counters`]), and `batched` reports whether the
 /// batched-guard fast path ran (for the `guard_batched_replays` counter).
 ///
-/// With `batch_guards` set, the trace's separable guards are proven (or
-/// refuted) in O(1) against [`GuardRect`] before anything executes: inside
-/// the rectangle the block runs `fast_prog` (those guards removed), outside
-/// it the block deopts immediately, attributed to the first violated guard
-/// in program order. Deopt *totals* are invariant either way — a block
-/// outside the rectangle would have failed that same guard inline — only
-/// the attribution can shift when a non-separable guard would have fired
+/// The trace's separable guards are proven (or refuted) in O(1) against
+/// [`GuardRect`] before anything executes: inside the rectangle the block
+/// runs `fast_prog` (those guards removed), outside it the block deopts
+/// immediately, attributed to the first violated guard in program order.
+/// Deopt *totals* equal those of evaluating every guard inline — a block
+/// outside the rectangle would have failed that same guard — only the
+/// attribution can shift when a non-separable guard would have fired
 /// earlier in program order.
 pub(crate) fn replay_block(
     dk: &DecodedKernel,
@@ -1544,11 +1544,10 @@ pub(crate) fn replay_block(
     ctx: &DecodedBlockCtx<'_>,
     scratch: &mut DecodedScratch,
     writes: &mut Vec<(u32, usize, u32)>,
-    batch_guards: bool,
 ) -> Result<(u64, u64, bool), DeoptReason> {
     let dx = ctx.block_idx.0 as i64 - trace.b0.0 as i64;
     let dy = ctx.block_idx.1 as i64 - trace.b0.1 as i64;
-    let mut batched = batch_guards && !trace.sep_guards.is_empty();
+    let mut batched = !trace.sep_guards.is_empty();
     if batched && !trace.rect.contains(dx, dy) {
         let why = trace
             .sep_guards
@@ -1561,7 +1560,7 @@ pub(crate) fn replay_block(
     // The `LdF`/`StF` bounds proofs assumed buffer lengths at least as
     // large as the per-buffer maxima recorded at finalize; a launch bound
     // to shorter buffers falls back to the fully guarded program, which
-    // deopts (or not) exactly like unbatched replay.
+    // checks every guard inline.
     if batched
         && !trace.fast_pre.iter().all(|&(b, hi)| {
             ctx.buffers

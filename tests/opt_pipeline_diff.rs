@@ -132,6 +132,19 @@ fn pipeline_vs_none_full_sweep_is_bit_identical() {
 /// pattern — and stays pixel-exact while doing it.
 #[test]
 fn pipeline_reduces_naive_executed_instructions_by_ten_percent() {
+    // Compiling is cheap next to the runs below, so every app's naive
+    // stages are checked for the optimiser's fixed point in debug builds
+    // too, not just the sweep's slice.
+    for app in isp_filters::apps::all_apps() {
+        let border = BorderSpec::from_pattern(BorderPattern::Clamp);
+        for ck in app
+            .pipeline
+            .compile(&Compiler::new(), border, Variant::IspBlock)
+        {
+            let s = ck.naive.opt_stats;
+            assert!(s.reached_fixed_point, "{}: {s:?}", app.name);
+        }
+    }
     for app in sweep_apps() {
         for pattern in sweep_patterns().iter().copied() {
             let label = format!("{} {pattern}", app.name);

@@ -10,11 +10,15 @@
 //! 2. **Backpressure is deterministic**: a burst beyond the admission cap
 //!    yields exact admitted/rejected counts and a bounded queue depth,
 //!    identical across repeated runs.
+//! 3. **The fleet beats the baseline**: on a seeded closed loop, the
+//!    model-routed two-device fleet has higher throughput than the
+//!    single-shard FIFO baseline at an equal or better p99. Both run on the
+//!    virtual clock, so the comparison is exact.
 
 use isp_core::Variant;
 use isp_dsl::pipeline::Policy;
 use isp_exec::{Engine, Outcome, Request};
-use isp_filters::all_apps;
+use isp_filters::{all_apps, by_name};
 use isp_image::BorderPattern;
 use isp_serve::{Arrivals, ServeConfig, ServeReport, Server, Workload};
 use isp_sim::DeviceSpec;
@@ -147,4 +151,41 @@ fn admission_bounds_queue_depth_deterministically() {
     assert_eq!(a.completed.len() as u64, a.admitted);
     // Queue waits are attributed in device cycles on every completion.
     assert!(a.completed.iter().any(|c| c.latency.queue_cycles > 0));
+}
+
+/// One closed-loop pass over a three-pipeline mix (as many clients as
+/// pipelines, one request each): the smallest loop that covers the whole
+/// mix, and already enough for the fleet's second device to pay off.
+#[test]
+fn fleet_beats_fifo_baseline_on_throughput_at_no_worse_p99() {
+    let policy = Policy::Model(Variant::IspBlock);
+    let mix = [
+        ("gaussian", BorderPattern::Clamp),
+        ("laplace", BorderPattern::Mirror),
+        ("sobel", BorderPattern::Repeat),
+    ]
+    .map(|(app, pattern)| Request::paper(by_name(app).unwrap(), pattern, 32, policy).exhaustive());
+    let wl = Workload {
+        seed: 42,
+        requests: mix.len(),
+        arrivals: Arrivals::Closed {
+            clients: mix.len(),
+            think_ms: 0.02,
+        },
+        mix: mix.to_vec(),
+    };
+    let baseline = Server::new(ServeConfig::baseline()).run(&wl);
+    let fleet = Server::new(ServeConfig::fleet()).run(&wl);
+    assert_eq!(baseline.completed.len(), mix.len());
+    assert_eq!(fleet.completed.len(), mix.len());
+    let (b99, f99) = (
+        baseline.latency_percentile_ms(99.0),
+        fleet.latency_percentile_ms(99.0),
+    );
+    assert!(
+        fleet.throughput_rps() > baseline.throughput_rps() && f99 <= b99,
+        "fleet {:.0} rps at p99 {f99:.4} ms vs baseline {:.0} rps at p99 {b99:.4} ms",
+        fleet.throughput_rps(),
+        baseline.throughput_rps(),
+    );
 }

@@ -1,10 +1,10 @@
 //! Differential tests for the SIMD warp-row kernels and the
 //! superinstruction fusion pass: the AVX2 backend must be bit-identical to
 //! the scalar loops over adversarial operands (NaN payloads, sNaNs,
-//! denormals, shift counts >= 32, `i32::MIN * -1`, signed zeros), and a
-//! fused decoding must be observationally identical to an unfused one on
-//! all three engines — pixels, counters, cycles, per-region attribution,
-//! and the rendered `==PROF==` report.
+//! denormals, shift counts >= 32, `i32::MIN * -1`, signed zeros), and the
+//! fused decoded and replay engines must be observationally identical to
+//! the reference interpreter, which never fuses — pixels, counters, cycles,
+//! per-region attribution, and the rendered `==PROF==` report.
 
 use isp_core::Variant;
 use isp_dsl::pipeline::Policy;
@@ -324,14 +324,9 @@ proptest! {
     }
 }
 
-/// Run one filter exhaustively on an engine with fusion on or off.
-fn run_filter(
-    engine: ExecEngine,
-    fusion: bool,
-    app: &isp_filters::App,
-    pattern: BorderPattern,
-) -> Outcome {
-    let e = Engine::with_fusion(DeviceSpec::gtx680(), engine, fusion);
+/// Run one filter exhaustively on an engine.
+fn run_filter(engine: ExecEngine, app: &isp_filters::App, pattern: BorderPattern) -> Outcome {
+    let e = Engine::with_exec_engine(DeviceSpec::gtx680(), engine);
     let source = isp_exec::bench_image(64);
     e.run_on(
         &Request::paper(
@@ -356,37 +351,25 @@ fn assert_outcomes_equal(a: &Outcome, b: &Outcome, label: &str) {
     assert_eq!(pa.raw(), pb.raw(), "{label}: pixels");
 }
 
-/// Fusion is a pure dispatch optimisation: for every filter, pattern, and
-/// engine, a fused run must be observationally identical to an unfused
-/// one — and identical across engines — with SIMD forced both off and on
-/// (which also exercises the warp-batched block path end-to-end:
-/// divergent borders bail to the sequential interpreter, interiors batch).
+/// Fusion is a pure dispatch optimisation: for every filter and pattern,
+/// the fused decoded and replay engines must be observationally identical
+/// to the reference interpreter, with SIMD forced both off and on (which
+/// also exercises the warp-batched block path end-to-end: divergent
+/// borders bail to the sequential interpreter, interiors batch).
 #[test]
 fn fusion_and_simd_observationally_neutral_all_filters() {
     for &simd in &[false, true] {
         with_simd(simd, || {
             for app in &isp_filters::apps::all_apps() {
                 for pattern in BorderPattern::ALL {
-                    let base = run_filter(ExecEngine::Reference, false, app, pattern);
-                    for engine in [
-                        ExecEngine::Reference,
-                        ExecEngine::Decoded,
-                        ExecEngine::Replay,
-                    ] {
-                        for fusion in [false, true] {
-                            if engine == ExecEngine::Reference && !fusion {
-                                continue;
-                            }
-                            let got = run_filter(engine, fusion, app, pattern);
-                            assert_outcomes_equal(
-                                &base,
-                                &got,
-                                &format!(
-                                    "{} {pattern} {engine:?} fusion={fusion} simd={simd}",
-                                    app.name
-                                ),
-                            );
-                        }
+                    let base = run_filter(ExecEngine::Reference, app, pattern);
+                    for engine in [ExecEngine::Decoded, ExecEngine::Replay] {
+                        let got = run_filter(engine, app, pattern);
+                        assert_outcomes_equal(
+                            &base,
+                            &got,
+                            &format!("{} {pattern} {engine:?} simd={simd}", app.name),
+                        );
                     }
                 }
             }
@@ -395,9 +378,10 @@ fn fusion_and_simd_observationally_neutral_all_filters() {
 }
 
 /// The rendered `==PROF==` report (counters, cycles, occupancy, derived
-/// rates) and per-class attribution must not move when fusion or SIMD
-/// toggles. Uses a divergent kernel so the batched path both succeeds
-/// (interior warps) and bails (divergent warps) within one launch.
+/// rates) must be the same for the reference interpreter and the fused
+/// decoded engine, with SIMD off and on. Uses a divergent kernel so the
+/// batched path both succeeds (interior warps) and bails (divergent warps)
+/// within one launch.
 #[test]
 fn prof_report_neutral_under_fusion_and_simd() {
     use isp_ir::{IrBuilder, SReg, Ty, UnOp};
@@ -439,9 +423,9 @@ fn prof_report_neutral_under_fusion_and_simd() {
     let n = 2 * 32 * 2 * 4;
     let input: Vec<f32> = (0..n).map(|i| (i % 19) as f32 * 0.25 - 2.0).collect();
     let params = [ParamValue::I32(64)];
-    let render = |fusion: bool| {
+    let render = |engine: ExecEngine| {
         let device = DeviceSpec::gtx680();
-        let gpu = Gpu::new(device.clone()).with_fusion(fusion);
+        let gpu = Gpu::new(device.clone());
         let mut bufs = vec![DeviceBuffer::from_f32(&input), DeviceBuffer::zeroed(n)];
         let report = gpu
             .launch_engine(
@@ -451,7 +435,7 @@ fn prof_report_neutral_under_fusion_and_simd() {
                 &mut bufs,
                 SimMode::Exhaustive,
                 ExecStrategy::Parallel,
-                ExecEngine::Decoded,
+                engine,
             )
             .unwrap();
         let prof = isp_sim::profile::format_report(&device, "prof_neutral", &report);
@@ -465,10 +449,10 @@ fn prof_report_neutral_under_fusion_and_simd() {
                 .collect::<Vec<u32>>(),
         )
     };
-    let base = with_simd(false, || render(false));
-    for &(fusion, simd) in &[(true, false), (false, true), (true, true)] {
-        let got = with_simd(simd, || render(fusion));
-        assert_eq!(base.0, got.0, "==PROF== text, fusion={fusion} simd={simd}");
-        assert_eq!(base.1, got.1, "pixels, fusion={fusion} simd={simd}");
+    let base = with_simd(false, || render(ExecEngine::Reference));
+    for simd in [false, true] {
+        let got = with_simd(simd, || render(ExecEngine::Decoded));
+        assert_eq!(base.0, got.0, "==PROF== text, simd={simd}");
+        assert_eq!(base.1, got.1, "pixels, simd={simd}");
     }
 }

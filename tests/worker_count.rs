@@ -1,16 +1,20 @@
 //! Exhaustive launches are independent of the worker count: the same
 //! launches under worker caps 1, 2 and 4 produce equal `LaunchReport`s —
 //! counters, cycles, per-class counters and per-class trace stats (which
-//! blocks record, replay or deopt) — and bit-identical pixels.
+//! blocks record, replay or deopt) — and bit-identical pixels. So is a
+//! serving fleet: identically seeded fleets whose shards run at caps 1, 2
+//! and 4 export byte-equal metrics snapshots.
 //!
 //! `with_worker_cap` only lowers the count, so a cap above the host's
 //! parallelism (or above `ISP_SIM_THREADS`) runs at the host's.
 
 use isp_core::Variant;
+use isp_dsl::pipeline::Policy;
 use isp_dsl::runner::ExecMode;
-use isp_exec::Engine;
+use isp_exec::{Engine, Request};
 use isp_filters::apps::by_name;
 use isp_image::{BorderPattern, ImageGenerator};
+use isp_serve::{Arrivals, ServeConfig, Server, Workload};
 use isp_sim::{DeviceSpec, LaunchReport};
 
 /// (app, stage, variant, pattern, image size, block): naive, block- and
@@ -122,5 +126,61 @@ fn launch_reports_are_independent_of_the_worker_count() {
             assert_eq!(a, b, "{label}: report at cap {cap}");
             assert!(pa == pb, "{label}: pixels at cap {cap}");
         }
+    }
+}
+
+/// Run one seeded closed-loop workload on a fleet whose shards all run at
+/// worker cap `cap`, and render its metrics snapshot and Prometheus text.
+fn fleet_metrics(cap: usize) -> (String, String) {
+    let policy = Policy::Model(Variant::IspBlock);
+    let mix = [
+        ("gaussian", BorderPattern::Clamp),
+        ("laplace", BorderPattern::Mirror),
+        ("bilateral", BorderPattern::Repeat),
+    ]
+    .map(|(app, pattern)| {
+        Request::paper(by_name(app).expect("registered app"), pattern, 64, policy).exhaustive()
+    });
+    let wl = Workload {
+        seed: 42,
+        requests: 12,
+        arrivals: Arrivals::Closed {
+            clients: 4,
+            think_ms: 0.02,
+        },
+        mix: mix.to_vec(),
+    };
+    let mut config = ServeConfig::fleet();
+    for shard in &mut config.shards {
+        shard.worker_cap = cap;
+    }
+    let mut server = Server::new(config);
+    let report = server.run(&wl);
+    assert_eq!(
+        report.completed.len(),
+        12,
+        "cap {cap}: every request completes"
+    );
+    (
+        server.metrics_json().sort_keys().render(),
+        server.prometheus(),
+    )
+}
+
+#[test]
+fn fleet_metrics_are_independent_of_the_worker_count() {
+    let (json, prom) = fleet_metrics(1);
+    assert!(
+        json.contains("serve.e2e_ms"),
+        "virtual-clock series present"
+    );
+    assert!(
+        prom.contains("serve_completed"),
+        "exposition carries the server's counters"
+    );
+    for cap in [2, 4] {
+        let (j, p) = fleet_metrics(cap);
+        assert!(j == json, "metrics JSON at cap {cap} differs from cap 1");
+        assert!(p == prom, "Prometheus text at cap {cap} differs from cap 1");
     }
 }
